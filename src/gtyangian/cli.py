@@ -7,6 +7,7 @@ produce byte-identical JSON. Rationals are serialized as "p/q" strings.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -19,7 +20,7 @@ from .drinfeld import (
     highest_weight_series,
     strong_noncrossing,
 )
-from .errors import InternalInvariantViolation, InvarianceViolationError, ValidationError
+from .errors import INTERNAL_ERRORS, ValidationError
 from .exact import rf_str
 from .glmod import build_module, verify_superalgebra
 from .patterns import SuperShape, enumerate_patterns, parse_weight
@@ -296,9 +297,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# built once per process at the first main() call; argparse copies the list
+# defaults of append actions, so no state carries over between calls
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         if args.r is not None and args.mu:
             got = len([x for x in args.mu[0].split(",") if x.strip() != ""]) if args.mu[0] else 0
@@ -307,12 +312,12 @@ def main(argv=None) -> int:
         payload = HANDLERS[args.command](args)
         _emit(args, args.command, payload)
         return 0
+    except INTERNAL_ERRORS as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
     except (ValidationError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (InternalInvariantViolation, InvarianceViolationError) as exc:
-        print(f"internal invariant violation: {exc}", file=sys.stderr)
-        return 3
 
 
 if __name__ == "__main__":

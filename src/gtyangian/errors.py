@@ -1,5 +1,5 @@
 """Shared exceptions. ValidationError subclasses map to CLI exit code 2,
-InternalInvariantViolation to exit code 3."""
+the INTERNAL_ERRORS to exit code 3."""
 
 
 class ValidationError(ValueError):
@@ -72,3 +72,8 @@ class InvarianceViolationError(AssertionError):
 
 class InternalInvariantViolation(AssertionError):
     """The code produced a state the theory forbids: implementation bug."""
+
+
+# failures of the engine itself, which no input should provoke
+INTERNAL_ERRORS = (InternalInvariantViolation, InvarianceViolationError, PoleError,
+                   SingularMatrixError, InconsistentSamplesError, InsufficientSamplesError)

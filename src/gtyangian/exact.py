@@ -9,6 +9,7 @@ of lists of Fraction.
 from __future__ import annotations
 
 from fractions import Fraction
+from graphlib import CycleError, TopologicalSorter
 from math import lcm
 
 from .errors import (
@@ -408,10 +409,6 @@ def mat_vec(A, v):
     return [sum((a * x for a, x in zip(row, v) if a and x), Fraction(0)) for row in A]
 
 
-def is_zero_matrix(A) -> bool:
-    return all(x == 0 for row in A for x in row)
-
-
 def _int_clear_rows(rows):
     """Scale each row by the lcm of denominators; returns integer rows."""
     out = []
@@ -542,7 +539,6 @@ def intersect_spans(B1, B2):
     """Basis of span(B1) ∩ span(B2); inputs are lists of vectors."""
     if not B1 or not B2:
         return []
-    rows = [list(v1) + list(v1) for v1 in []]  # placeholder, replaced below
     # Zassenhaus: rows [v | v] for v in B1 and [w | 0] for w in B2;
     # the echelon rows with zero left half carry the intersection on the right.
     n = len(B1[0])
@@ -657,9 +653,6 @@ class RFMatrix:
             out[i][j] = v
         return out
 
-    def transpose(self) -> "RFMatrix":
-        return RFMatrix(self.ncols, self.nrows, {(j, i): v for (i, j), v in self.entries.items()})
-
     def is_zero(self) -> bool:
         return not self.entries
 
@@ -694,12 +687,58 @@ class RFMatrix:
 
 
 def rf_matrix_inverse(M: RFMatrix) -> RFMatrix:
-    """Inverse over the rational-function field by Gauss-Jordan elimination.
+    """Inverse over the rational-function field.
 
-    The result is verified by evaluating M * M^-1 at one non-pole point.
+    Fast path: when every diagonal entry is nonzero and the off-diagonal
+    support is acyclic, M is triangular in some order of its basis and sparse
+    forward substitution inverts it. Otherwise Gauss-Jordan elimination. The
+    result is verified by evaluating M * M^-1 at one non-pole point.
     """
     if M.nrows != M.ncols:
         raise ValueError("inverse of a non-square matrix")
+    inv_mat = _triangular_inverse(M)
+    if inv_mat is None:
+        inv_mat = _gauss_jordan_inverse(M)
+    for x in sample_points():
+        try:
+            prod = mat_mul(M.eval(x), inv_mat.eval(x))
+        except PoleError:
+            continue
+        if prod != identity(M.nrows):
+            raise SingularMatrixError("inverse verification failed")  # pragma: no cover
+        return inv_mat
+
+
+def _triangular_inverse(M: RFMatrix):
+    """Inverse by sparse forward substitution, or None when M is not
+    triangular in any basis order. An entry (i, j) puts j before i."""
+    n = M.nrows
+    if any((i, i) not in M.entries for i in range(n)):
+        return None
+    preds = {i: [] for i in range(n)}
+    for i, j in M.entries:
+        if i != j:
+            preds[i].append(j)
+    try:
+        order = list(TopologicalSorter(preds).static_order())
+    except CycleError:
+        return None
+    # row i of M^-1 is (e_i - sum_j M[i][j] row j of M^-1) / M[i][i]
+    inv_rows = {}
+    for i in order:
+        row = {i: ONE_RF}
+        for j in preds[i]:
+            f = -M.entries[(i, j)]
+            for c, v in inv_rows[j].items():
+                term = f * v
+                cur = row.get(c)
+                row[c] = term if cur is None else cur + term
+        d = M.entries[(i, i)].inverse()
+        inv_rows[i] = {c: v * d for c, v in row.items() if not v.is_zero()}
+    return RFMatrix(n, n, {(i, c): v for i, row in inv_rows.items() for c, v in row.items()})
+
+
+def _gauss_jordan_inverse(M: RFMatrix) -> RFMatrix:
     n = M.nrows
     A = M.to_dense()
     B = [[ONE_RF if i == j else ZERO_RF for j in range(n)] for i in range(n)]
@@ -718,16 +757,7 @@ def rf_matrix_inverse(M: RFMatrix) -> RFMatrix:
                 f = A[r][c]
                 A[r] = [x - f * y for x, y in zip(A[r], A[c])]
                 B[r] = [x - f * y for x, y in zip(B[r], B[c])]
-    inv_mat = RFMatrix.from_rows(B)
-    for x in sample_points():
-        try:
-            prod = mat_mul(M.eval(x), inv_mat.eval(x))
-        except PoleError:
-            continue
-        if prod != identity(n):
-            raise SingularMatrixError("inverse verification failed")  # pragma: no cover
-        break
-    return inv_mat
+    return RFMatrix.from_rows(B)
 
 
 def sample_points():

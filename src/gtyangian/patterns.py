@@ -6,7 +6,6 @@ has k entries) stored at rows[k-1], top row rows[m+n-1] equal to the weight.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
@@ -125,9 +124,6 @@ class GTPattern:
             return Fraction(v - i + 1)
         return Fraction(-v + i - 2 * m)
 
-    def l_row(self, k: int):
-        return tuple(self.l_coord(k, i) for i in range(1, k + 1))
-
     def zz_degree(self):
         """(sum of rows 1..m, sum of rows m+1..m+n)."""
         m = self.shape.m
@@ -151,11 +147,6 @@ class GTPattern:
     @classmethod
     def from_json(cls, shape: SuperShape, data) -> "GTPattern":
         return cls(shape, tuple(reversed([tuple(r) for r in data])))
-
-
-def l_coords(p: GTPattern):
-    """Full triangle of l-coordinates, same layout as the pattern rows."""
-    return tuple(p.l_row(k) for k in range(1, p.shape.size + 1))
 
 
 def zz_key(deg):
@@ -310,7 +301,3 @@ def top_pattern(shape: SuperShape, weight, mu=()):
     if not p.is_valid() or p.top() != weight:
         raise NotAdmissibleError("kappa array is not a valid pattern for this (weight, mu)")
     return p
-
-
-def patterns_to_json(patterns) -> str:
-    return json.dumps([p.to_json() for p in patterns], sort_keys=True, separators=(",", ":"))

@@ -8,7 +8,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import InternalInvariantViolation, PoleHitError
+from .errors import InternalInvariantViolation, PoleError, PoleHitError
 from .exact import (
     Poly,
     RatFunc,
@@ -119,15 +119,6 @@ class SpectrumReport:
             k, u0, cert = self.witness
             out["witness"] = {"k": k, "u0": str(u0), "min_poly": cert}
         return out
-
-
-def _commute_exactly(mats) -> bool:
-    keys = sorted(mats)
-    for i, k in enumerate(keys):
-        for l in keys[i + 1 :]:
-            if mats[k] * mats[l] != mats[l] * mats[k]:
-                return False
-    return True
 
 
 def _poly_kernel(mat: RFMatrix, alpha: RatFunc):
@@ -253,7 +244,7 @@ def _witness_points(mat: RFMatrix, alphas, count: int):
         try:
             vals = [a(u0) for a in alphas]
             mat.eval(u0)
-        except Exception:
+        except PoleError:
             continue
         if len(set(vals)) == len(alphas):
             out.append(u0)
@@ -355,7 +346,7 @@ def _apply_series_at(mat: RFMatrix, vec, point, what: str):
     for i, f in rows.items():
         try:
             out[i] = f(point)
-        except Exception as exc:
+        except PoleError as exc:
             raise PoleHitError(f"{what} hits a pole at {point}") from exc
     return out
 

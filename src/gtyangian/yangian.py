@@ -31,6 +31,7 @@ from .exact import (
     mat_sub,
     rat,
     rf_from_samples,
+    rf_matrix_inverse,
     sample_points,
     zeros,
 )
@@ -79,12 +80,6 @@ class YangianModule:
     @property
     def n(self):
         return self.shape.n
-
-    def t_entry(self, i: int, j: int) -> RFMatrix:
-        return self.t[(i, j)]
-
-    def parity_of_index(self, i: int) -> int:
-        return self.shape.parity(i)
 
     def blocks_at(self, u0):
         """Dense (m+n) x (m+n) grid of D x D numeric blocks of T(u0)."""
@@ -137,30 +132,31 @@ def evaluation_action(mod: GlModule, h) -> YangianModule:
 
 
 # ---------------------------------------------------------------------------
-# the pointwise Schur-complement engine
+# Schur-complement sweeps: symbolic over RFMatrix blocks, and pointwise
+
+
+def _sweep(blocks, steps: int):
+    """Block Gaussian elimination in place over RFMatrix blocks.
+
+    Step k inverts the pivot blocks[k][k] and updates only blocks[i][j] with
+    i, j > k. After steps 0..s-1, blocks[i][j] for i, j >= s holds the
+    quasideterminant |rows 1..s, i; cols 1..s, j|.
+    """
+    size = len(blocks)
+    for k in range(steps):
+        pinv = rf_matrix_inverse(blocks[k][k])
+        for j in range(k + 1, size):
+            if blocks[k][j].is_zero():
+                continue
+            right = pinv * blocks[k][j]
+            for i in range(k + 1, size):
+                if not blocks[i][k].is_zero():
+                    blocks[i][j] = blocks[i][j] - blocks[i][k] * right
+    return blocks
 
 
 class BadSamplePoint(Exception):
     pass
-
-
-def _sweep(blocks, steps: int):
-    """Block Gaussian elimination in place; blocks[i][j] are dense numeric.
-
-    After eliminating block rows/cols 0..steps-1, blocks[i][j] for i, j >= steps
-    holds the quasideterminant |rows 1..steps, i; cols 1..steps, j| at (i, j).
-    """
-    size = len(blocks)
-    for k in range(steps):
-        try:
-            pinv = mat_inv(blocks[k][k])
-        except SingularMatrixError as exc:
-            raise BadSamplePoint(str(exc)) from exc
-        for i in range(k + 1, size):
-            left = mat_mul(blocks[i][k], pinv)
-            for j in range(k + 1, size):
-                blocks[i][j] = mat_sub(blocks[i][j], mat_mul(left, blocks[k][j]))
-    return blocks
 
 
 def _gt_point_raw(ym: YangianModule, u0):
@@ -238,33 +234,26 @@ def _reconstruct_family(evaluate, keys, start_bound: int, cap: int):
 
 
 def gt_series(ym: YangianModule):
-    """All d_k(u), x_k(u), y_k(u) as exact RFMatrices (cached on the module)."""
+    """All d_k(u), x_k(u), y_k(u) as exact RFMatrices (cached on the module).
+
+    One symbolic sweep over T(u). Step k touches only blocks i, j > k, so
+    d_k = blocks[k-1][k-1], x_k = blocks[k-1][k] and y_k = blocks[k][k-1]
+    survive in the final state.
+    """
     if ym._series is not None:
         return ym._series
     size = ym.shape.size
-    keys = [("d", k) for k in range(1, size + 1)]
-    keys += [("x", k) for k in range(1, size)]
-    keys += [("y", k) for k in range(1, size)]
-    start = sum(f.r for f in ym.factors) + len(ym.factors) + size + 2
-    cap = max(size * ym.dim * max(1, len(ym.factors)), start) + 2
-
-    def evaluate(u0):
-        return _gt_point_raw(ym, u0)
-
-    ym._series = _reconstruct_family(evaluate, keys, start, cap)
-    return ym._series
+    blocks = [[ym.t[(i + 1, j + 1)] for j in range(size)] for i in range(size)]
+    _sweep(blocks, size - 1)
+    series = {("d", k): blocks[k - 1][k - 1] for k in range(1, size + 1)}
+    series.update({("x", k): blocks[k - 1][k] for k in range(1, size)})
+    series.update({("y", k): blocks[k][k - 1] for k in range(1, size)})
+    ym._series = series
+    return series
 
 
 def d_series(ym: YangianModule, k: int) -> RFMatrix:
     return gt_series(ym)[("d", k)]
-
-
-def x_series(ym: YangianModule, k: int) -> RFMatrix:
-    return gt_series(ym)[("x", k)]
-
-
-def y_series(ym: YangianModule, k: int) -> RFMatrix:
-    return gt_series(ym)[("y", k)]
 
 
 def quasidet(blocks, i: int, j: int) -> RFMatrix:
@@ -373,37 +362,25 @@ def skew_action(shape: SuperShape, lam, mu, h) -> YangianModule:
     sub = singular_subspace(amb, mu)
     size = shape.size
     amb_size = amb_shape.size
-    DA = amb.dim
-
-    def evaluate(u0):
-        try:
-            blocks = amb_ym.blocks_at(u0)
-        except PoleError as exc:
-            raise BadSamplePoint(str(exc)) from exc
-        _sweep(blocks, r)
-        out = {}
-        for i in range(1, size + 1):
-            for j in range(1, size + 1):
-                cols = blocks[r + i - 1][r + j - 1]
-                out[(i, j)] = [[cols[a][b] for b in sub] for a in range(DA)]
-        return out
-
-    keys = [(i, j) for i in range(1, size + 1) for j in range(1, size + 1)]
-    start = r + max(lam) + 2
-    cap = max(r * DA, start) + 2
-    full = _reconstruct_family(evaluate, keys, start, cap)
-
     sub_pos = {a: t for t, a in enumerate(sub)}
+    blocks = [[amb_ym.t[(i + 1, j + 1)] for j in range(amb_size)] for i in range(amb_size)]
+    for row in blocks:
+        for j in range(r, amb_size):  # only the singular columns; the rows stay full
+            ent = {(a, sub_pos[b]): v for (a, b), v in row[j].entries.items() if b in sub_pos}
+            row[j] = RFMatrix(amb.dim, len(sub), ent)
+    _sweep(blocks, r)
+
     t = {}
-    for (i, j), mat in full.items():
-        ent = {}
-        for (a, b), v in mat.entries.items():
-            if a not in sub_pos:
-                raise InvarianceViolationError(
-                    f"psi_{r}(t_{i}{j}) leaks out of the singular subspace at row {a}"
-                )
-            ent[(sub_pos[a], b)] = v
-        t[(i, j)] = RFMatrix(len(sub), len(sub), ent)
+    for i in range(1, size + 1):
+        for j in range(1, size + 1):
+            ent = {}
+            for (a, b), v in blocks[r + i - 1][r + j - 1].entries.items():
+                if a not in sub_pos:
+                    raise InvarianceViolationError(
+                        f"psi_{r}(t_{i}{j}) leaks out of the singular subspace at row {a}"
+                    )
+                ent[(sub_pos[a], b)] = v
+            t[(i, j)] = RFMatrix(len(sub), len(sub), ent)
 
     patterns = tuple(amb.basis[a] for a in sub)
     parity = [amb.parity[a] for a in sub]

@@ -160,3 +160,20 @@ def test_noncross(capsys):
     assert code == 0
     res = json.loads(out)["result"]
     assert res["strong"] is True and res["arithmetic"] is True
+
+
+def test_engine_pole_exit3(capsys):
+    # B(u) has a pole at the fixed check point u = 5 when the shift is -5
+    code = main(["verify", "--suite", "berezinian", "--m", "1", "--n", "1",
+                 "--weight", "1|0", "--shift", "-5"])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert "Traceback" not in err and len(err.strip().splitlines()) == 1
+
+
+def test_shared_parser_keeps_no_state(capsys):
+    # a second call through the once-built parser must not see the first's lists
+    _, first = run_cli(capsys, ["patterns", "--m", "1", "--n", "1", "--weight", "2|1"])
+    _, second = run_cli(capsys, ["patterns", "--m", "1", "--n", "1", "--weight", "0|0"])
+    assert json.loads(second)["job"]["weights"] == ["0|0"]
+    assert json.loads(first)["result"]["count"] != json.loads(second)["result"]["count"]

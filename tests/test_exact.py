@@ -14,6 +14,8 @@ from gtyangian.exact import (
     Poly,
     RatFunc,
     RFMatrix,
+    _gauss_jordan_inverse,
+    _triangular_inverse,
     bareiss_det,
     identity,
     intersect_spans,
@@ -157,6 +159,26 @@ def test_rf_matrix_inverse_examples():
     # [[u,u],[1,1]] singular
     with pytest.raises(SingularMatrixError):
         rf_matrix_inverse(RFMatrix.from_rows([[U, U], [1, 1]]))
+
+
+def test_rf_matrix_inverse_fallbacks_match_gauss_jordan():
+    # support 0 -> 1 -> 2 -> 0 is a cycle; the second matrix lacks entry (0, 0)
+    cyclic = RFMatrix.from_rows([[U, 1, 0], [0, U + 1, 2], [3, 0, U - 1]])
+    no_diagonal = RFMatrix.from_rows([[0, U], [1, U + 2]])
+    for M in (cyclic, no_diagonal):
+        assert _triangular_inverse(M) is None
+        inv = rf_matrix_inverse(M)
+        assert inv == _gauss_jordan_inverse(M)
+        assert M * inv == RFMatrix.identity(M.nrows)
+
+
+def test_rf_matrix_inverse_substitution_in_permuted_order():
+    # triangular in the basis order 1, 0, 2, not in the index order
+    M = RFMatrix.from_rows([[U, 2, 0], [0, U + 1, 0], [1, RatFunc(1, U + 3), U - 3]])
+    inv = _triangular_inverse(M)
+    assert inv is not None
+    assert inv == _gauss_jordan_inverse(M) == rf_matrix_inverse(M)
+    assert M * inv == RFMatrix.identity(3)
 
 
 @settings(max_examples=20, deadline=None)
