@@ -34,14 +34,6 @@ class NotNoncrossingError(ValidationError):
     pass
 
 
-class NoHighestVectorError(ValidationError):
-    pass
-
-
-class NotEigenError(ValidationError):
-    pass
-
-
 class NotDominantError(ValidationError):
     pass
 
@@ -72,6 +64,18 @@ class InvarianceViolationError(AssertionError):
 
 class InternalInvariantViolation(AssertionError):
     """The code produced a state the theory forbids: implementation bug."""
+
+
+# raised only by drinfeld.highest_weight_series, where every input is a tensor
+# of covariant modules, which always has a joint highest vector
+
+
+class NoHighestVectorError(InternalInvariantViolation):
+    pass
+
+
+class NotEigenError(InternalInvariantViolation):
+    pass
 
 
 # failures of the engine itself, which no input should provoke

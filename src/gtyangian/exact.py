@@ -709,20 +709,31 @@ def rf_matrix_inverse(M: RFMatrix) -> RFMatrix:
         return inv_mat
 
 
-def _triangular_inverse(M: RFMatrix):
-    """Inverse by sparse forward substitution, or None when M is not
-    triangular in any basis order. An entry (i, j) puts j before i."""
-    n = M.nrows
-    if any((i, i) not in M.entries for i in range(n)):
-        return None
+def support_order(n: int, support):
+    """A basis order of range(n) in which every off-diagonal position (i, j)
+    of `support` puts j before i, with each index's list of such j; None when
+    the positions form a cycle. Triangular matrices of that support are solved
+    by substitution along the order."""
     preds = {i: [] for i in range(n)}
-    for i, j in M.entries:
+    for i, j in support:
         if i != j:
             preds[i].append(j)
     try:
-        order = list(TopologicalSorter(preds).static_order())
+        return list(TopologicalSorter(preds).static_order()), preds
     except CycleError:
         return None
+
+
+def _triangular_inverse(M: RFMatrix):
+    """Inverse by sparse forward substitution, or None when M is not
+    triangular in any basis order."""
+    n = M.nrows
+    if any((i, i) not in M.entries for i in range(n)):
+        return None
+    found = support_order(n, M.entries)
+    if found is None:
+        return None
+    order, preds = found
     # row i of M^-1 is (e_i - sum_j M[i][j] row j of M^-1) / M[i][i]
     inv_rows = {}
     for i in order:

@@ -13,6 +13,7 @@ from .exact import (
     Poly,
     RatFunc,
     RFMatrix,
+    ZERO_RF,
     intersect_spans,
     mat_vec,
     nullspace,
@@ -23,6 +24,7 @@ from .exact import (
     rf_str,
     rref,
     sample_points,
+    support_order,
 )
 from .patterns import GTPattern, top_pattern
 from .yangian import Factor, YangianModule, gamma, gt_series
@@ -179,21 +181,105 @@ def _min_poly(M):
 
 
 def gt_spectrum(ym: YangianModule) -> SpectrumReport:
-    """Diagonalize the d_k(u) family exactly.
+    """Diagonalize the d_k(u) family exactly."""
+    series = gt_series(ym)
+    return family_spectrum({k: series[("d", k)] for k in range(1, ym.shape.size + 1)})
+
+
+def family_spectrum(mats) -> SpectrumReport:
+    """Spectrum of a commuting family {k: d_k} of RFMatrices.
 
     Candidate eigenvalues are the diagonal entries (the block-triangular
-    structure of the coproduct puts the zeta products there). Tame is
-    certified constructively by the joint eigenspaces exhausting the module;
-    NotTame by a sample point where some d_k has a non-squarefree minimal
-    polynomial (commuting semisimple families specialize to diagonalizable
-    matrices at every non-pole point).
+    structure of the coproduct puts the zeta products there). When their
+    tuples are pairwise distinct, the eigenvectors come from exact
+    substitution; any collision, and any failure of that route, leaves the
+    whole family to the kernel route.
     """
-    size = ym.shape.size
-    series = gt_series(ym)
-    mats = {k: series[("d", k)] for k in range(1, size + 1)}
-    D = ym.dim
-    diags = {k: [mats[k].get(a, a) for a in range(D)] for k in mats}
-    tuples = [tuple(diags[k][a] for k in range(1, size + 1)) for a in range(D)]
+    tuples = _diagonal_tuples(mats)
+    if len(set(tuples)) == len(tuples):
+        eigen = _substitution_eigen(mats, tuples)
+        if eigen is not None:
+            return SpectrumReport(True, eigen, None, [])
+    return kernel_spectrum(mats)
+
+
+def _diagonal_tuples(mats):
+    """(d_1[a][a], ..., d_size[a][a]) for every basis index a."""
+    D = mats[1].nrows
+    return [tuple(mats[k].get(a, a) for k in range(1, len(mats) + 1)) for a in range(D)]
+
+
+def _substitution_eigen(mats, tuples):
+    """One joint eigenvector per basis index, for pairwise distinct tuples.
+
+    The union of the off-diagonal supports of the d_k is ordered so that every
+    d_k is triangular. For index a with tuple alpha, w_a = 1, w vanishes before
+    a, and each later w_c is solved from a d_k whose diagonal differs from
+    alpha_k at c. Every equation d_k w = alpha_k w is then checked exactly, and
+    w is scaled to lead with 1 in basis order. Returns None when the support is
+    cyclic, a coordinate is not constant, or an equation fails.
+    """
+    D = len(tuples)
+    ks = range(1, len(mats) + 1)
+    found = support_order(D, {pos for m in mats.values() for pos in m.entries})
+    if found is None:
+        return None
+    order, _ = found
+    rows = {k: [[] for _ in range(D)] for k in ks}
+    for k in ks:
+        for (i, j), v in mats[k].entries.items():
+            if i != j:
+                rows[k][i].append((j, v))
+    eigen = []
+    for a in range(D):
+        alpha = tuples[a]
+        w = {a: Fraction(1)}
+        for c in order[order.index(a) + 1:]:
+            k = next(k for k in ks if tuples[c][k - 1] != alpha[k - 1])
+            acc = _combine((v, w[j]) for j, v in rows[k][c] if j in w)
+            if acc.is_zero():
+                continue
+            x = -acc / (tuples[c][k - 1] - alpha[k - 1])
+            if x.den.degree > 0 or x.num.degree > 0:
+                return None
+            w[c] = x.num.coeffs[0]
+        for k in ks:
+            lhs = {}
+            for (i, j), v in mats[k].entries.items():
+                if j in w:
+                    lhs.setdefault(i, []).append((v, w[j]))
+            for c in lhs.keys() | w.keys():
+                terms = lhs.get(c, [])
+                if c in w:
+                    terms.append((-alpha[k - 1], w[c]))
+                if not _combine(terms).is_zero():
+                    return None
+        lead = w[min(w)]
+        vec = tuple(w.get(c, Fraction(0)) / lead for c in range(D))
+        eigen.append((vec, {k: alpha[k - 1] for k in ks}))
+    return eigen
+
+
+def _combine(terms):
+    """sum f * x over (RatFunc f, Fraction x) pairs."""
+    acc = ZERO_RF
+    for f, x in terms:
+        term = f * x
+        acc = term if acc.is_zero() else acc + term
+    return acc
+
+
+def kernel_spectrum(mats) -> SpectrumReport:
+    """Spectrum of {k: d_k} by stacked kernels, for any family.
+
+    Tame is certified constructively by the joint eigenspaces exhausting the
+    module; NotTame by a sample point where some d_k has a non-squarefree
+    minimal polynomial (commuting semisimple families specialize to
+    diagonalizable matrices at every non-pole point).
+    """
+    size = len(mats)
+    D = mats[1].nrows
+    tuples = _diagonal_tuples(mats)
     classes = {}
     for a, tup in enumerate(tuples):
         classes.setdefault(tup, []).append(a)
@@ -219,7 +305,8 @@ def gt_spectrum(ym: YangianModule) -> SpectrumReport:
     # find a witness: some d_k whose own eigenspaces do not fill the space,
     # exhibited at a sample point where its minimal polynomial is not squarefree
     for k in range(1, size + 1):
-        alphas = sorted(set(diags[k]), key=str)
+        diag = [t[k - 1] for t in tuples]
+        alphas = sorted(set(diag), key=str)
         ktotal = sum(len(_poly_kernel(mats[k], alpha)) for alpha in alphas)
         if ktotal < D:
             for u0 in _witness_points(mats[k], alphas, 24):

@@ -1,6 +1,10 @@
 import json
 
+import pytest
+
+from gtyangian import cli, drinfeld
 from gtyangian.cli import main
+from gtyangian.errors import PoleError
 
 
 def run_cli(capsys, argv):
@@ -162,13 +166,38 @@ def test_noncross(capsys):
     assert res["strong"] is True and res["arithmetic"] is True
 
 
-def test_engine_pole_exit3(capsys):
-    # B(u) has a pole at the fixed check point u = 5 when the shift is -5
+def test_engine_pole_exit3(capsys, monkeypatch):
+    # a direct Berezinian that fails at every point outlasts any honest pole count
+    def pole(ym, u0):
+        raise PoleError(f"pole at u = {u0}")
+
+    monkeypatch.setattr(cli, "berezinian_direct_point", pole)
     code = main(["verify", "--suite", "berezinian", "--m", "1", "--n", "1",
-                 "--weight", "1|0", "--shift", "-5"])
+                 "--weight", "1|0"])
     err = capsys.readouterr().err
     assert code == 3
     assert "Traceback" not in err and len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("shift", ["-5", "-7", "-9"])
+def test_berezinian_check_steps_past_poles(capsys, shift):
+    # B(u) has a pole at u = -shift, one of the first check points 5, 7, 9
+    code, out = run_cli(capsys, ["verify", "--suite", "berezinian", "--m", "1", "--n", "1",
+                                 "--weight", "1|0", "--shift", shift])
+    assert code == 0
+    assert json.loads(out)["result"]["violations"] == []
+
+
+@pytest.mark.parametrize("patch", [
+    ("nullspace", lambda rows: []),  # no joint highest vector
+    ("_eigen_series", lambda ym, vec: None),  # no kernel vector is an eigenvector
+])
+def test_missing_highest_vector_exit3(capsys, monkeypatch, patch):
+    monkeypatch.setattr(drinfeld, *patch)
+    code = main(["drinfeld", "--m", "1", "--n", "1", "--weight", "1|0", "--weight", "2|1"])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.startswith("internal error: ") and len(err.strip().splitlines()) == 1
 
 
 def test_shared_parser_keeps_no_state(capsys):

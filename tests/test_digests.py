@@ -58,8 +58,14 @@ def test_family_every_seventh_job():
 
 def test_large_spectrum_simple_job():
     jobs = WORKLOADS.GENERATORS["large-spectrum"](H0)
-    # the dim-64 spectrum job is left out for its cost
     indices = [i for i, job in enumerate(jobs) if job[0] == "simple"]
+    assert len(indices) == 1
+    assert _mismatches("large-spectrum", indices) == []
+
+
+def test_large_spectrum_spectrum_job():
+    jobs = WORKLOADS.GENERATORS["large-spectrum"](H0)
+    indices = [i for i, job in enumerate(jobs) if job[0] == "spectrum"]
     assert len(indices) == 1
     assert _mismatches("large-spectrum", indices) == []
 

@@ -1,14 +1,19 @@
 import random
 from fractions import Fraction
 
-from gtyangian.exact import RatFunc, Poly, mat_vec, rank
+from hypothesis import given, settings
+
+from gtyangian import spectra
+from gtyangian.exact import RatFunc, RFMatrix, Poly, mat_vec, rank
 from gtyangian.glmod import build_module
 from gtyangian.patterns import SuperShape, enumerate_patterns, enumerate_skew_patterns
 from gtyangian.spectra import (
     build_xi,
     chi,
     eta_vector,
+    family_spectrum,
     gt_spectrum,
+    kernel_spectrum,
     is_simple,
     leftmost_factor,
     raise_xi,
@@ -26,6 +31,8 @@ from gtyangian.yangian import (
     tensor_action,
     twist_omega_f,
 )
+
+from strategies import small_tensors
 
 U = Poly.x()
 
@@ -170,6 +177,79 @@ def test_spectrum_json_shape():
     assert '"verdict":"tame"' in js
     rep2 = gt_spectrum(tensor_action([natural11(0), natural11(0)]))
     assert '"verdict":"not_tame"' in spectrum_to_json(rep2)
+
+
+# ---------------------------------------------------------------------------
+# two routes for the eigenvectors: substitution against stacked kernels
+
+
+def d_family(ym):
+    series = gt_series(ym)
+    return {k: series[("d", k)] for k in range(1, ym.shape.size + 1)}
+
+
+@settings(max_examples=25, deadline=None)
+@given(small_tensors())
+def test_substitution_route_matches_kernel_route(ym):
+    mats = d_family(ym)
+    tuples = spectra._diagonal_tuples(mats)
+    kernel = kernel_spectrum(mats)
+    if len(set(tuples)) == len(tuples):
+        eigen = spectra._substitution_eigen(mats, tuples)
+        if eigen is not None:
+            assert kernel.tame and eigen == kernel.eigen
+    assert gt_spectrum(ym) == kernel
+
+
+def test_tame_simple_spectrum_stacks_no_kernel(monkeypatch):
+    W = tensor_action([natural11(0), natural11(Fraction(1, 2))])
+    expect = kernel_spectrum(d_family(W))
+
+    def refuse(*args):
+        raise AssertionError("kernel route taken")
+
+    monkeypatch.setattr(spectra, "_poly_kernel", refuse)
+    assert family_spectrum(d_family(W)) == expect
+
+
+def test_collision_goes_straight_to_kernel_route(monkeypatch):
+    W = tensor_action([natural11(0), natural11(0)])
+    expect = kernel_spectrum(d_family(W))
+    assert expect.collisions
+
+    def refuse(*args):
+        raise AssertionError("substitution tried on colliding tuples")
+
+    monkeypatch.setattr(spectra, "_substitution_eigen", refuse)
+    assert gt_spectrum(W) == expect
+
+
+def test_cyclic_support_falls_back_to_kernel_route():
+    # support 0 -> 1 -> 2 -> 0 is a cycle; the eigenvalues are still 1, 2, 3
+    M = RFMatrix.from_rows([[1, 1, 0], [Fraction(1, 2), 2, 1], [1, Fraction(-1, 2), 3]])
+    mats = {1: M, 2: RFMatrix.from_rows([[U, 0, 0], [0, U, 0], [0, 0, U]])}
+    assert spectra._substitution_eigen(mats, spectra._diagonal_tuples(mats)) is None
+    rep = family_spectrum(mats)
+    assert rep == kernel_spectrum(mats)
+    assert rep.tame and len(rep.eigen) == 3
+
+
+def test_non_constant_coordinate_falls_back_to_kernel_route():
+    # d_2 separates the two indices, and solving with it gives w_1 = -u
+    mats = {1: RFMatrix.from_rows([[1, 0], [U, 1]]), 2: RFMatrix.from_rows([[1, 0], [U, 2]])}
+    assert spectra._substitution_eigen(mats, spectra._diagonal_tuples(mats)) is None
+    rep = family_spectrum(mats)
+    assert rep == kernel_spectrum(mats)
+    assert not rep.tame
+
+
+def test_failed_check_falls_back_to_kernel_route():
+    # the solve uses d_2 only and gives w = (1, 0), which d_1 does not fix
+    mats = {1: RFMatrix.from_rows([[1, 0], [U, 1]]), 2: RFMatrix.from_rows([[1, 0], [0, 2]])}
+    assert spectra._substitution_eigen(mats, spectra._diagonal_tuples(mats)) is None
+    rep = family_spectrum(mats)
+    assert rep == kernel_spectrum(mats)
+    assert not rep.tame
 
 
 # ---------------------------------------------------------------------------

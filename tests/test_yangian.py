@@ -35,6 +35,8 @@ from gtyangian.yangian import (
     verify_gt_lemmas,
 )
 
+from strategies import FACTORS, SHAPES, SHIFTS, small_tensors
+
 U = Poly.x()
 
 
@@ -320,32 +322,7 @@ def test_trivial_flip_fixed():
 # two routes for the symbolic sweep: the exact series against pointwise
 # elimination at non-pole points, whole-number shifts included
 
-SHAPES = {(1, 1): SuperShape(1, 1), (2, 1): SuperShape(2, 1), (1, 2): SuperShape(1, 2)}
-# per shape: evaluation weights, then (ambient weight, mu) skews; all of dim <= 4
-FACTORS = {
-    (1, 1): [(1, 0), (2, 1), (1, 1), (2, 0), ((2, 1, 0), (1,)), ((3, 1, 0), (1,)),
-             ((2, 0, 0), (1,)), ((3, 1, 0), (2,))],
-    (2, 1): [(1, 0, 0), (1, 1, 0), ((1, 1, 0, 0), (1,)), ((2, 0, 0, 0), (1,)),
-             ((1, 1, 1, 0), (1,))],
-    (1, 2): [(1, 0, 0), (2, 0, 0), ((1, 1, 0, 0), (1,)), ((2, 0, 0, 0), (1,)),
-             ((2, 1, 0, 0), (2,))],
-}
-SHIFTS = [Fraction(x) for x in (-2, -1, 0, 1, 2)] + [Fraction(1, 2), Fraction(-3, 2), Fraction(1, 3)]
 POINTS = [Fraction(x) for x in (0, 1, -1, 2, -2)] + [Fraction(5, 7), Fraction(-3, 11)]
-
-
-def _factor(shape, spec, h):
-    if len(spec) == 2 and isinstance(spec[0], tuple):
-        return skew_action(shape, spec[0], spec[1], h)
-    return evaluation_action(build_module(shape, spec), h)
-
-
-@st.composite
-def small_tensors(draw):
-    key = draw(st.sampled_from(sorted(SHAPES)))
-    shape = SHAPES[key]
-    specs = draw(st.lists(st.sampled_from(FACTORS[key]), min_size=1, max_size=2))
-    return tensor_action([_factor(shape, spec, draw(st.sampled_from(SHIFTS))) for spec in specs])
 
 
 @settings(max_examples=25, deadline=None)
