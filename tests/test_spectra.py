@@ -13,8 +13,8 @@ from gtyangian.spectra import (
     eta_vector,
     family_spectrum,
     gt_spectrum,
-    kernel_spectrum,
     is_simple,
+    kernel_spectrum,
     leftmost_factor,
     raise_xi,
     spectrum_to_json,
