@@ -27,7 +27,8 @@ from .patterns import SuperShape, enumerate_patterns, parse_weight
 from .spectra import build_xi, gt_spectrum, is_simple, zeta
 from .yangian import (
     berezinian_direct_point,
-    berezinian_factors,
+    berezinian_point,
+    berezinian_pole_bound,
     evaluation_action,
     skew_action,
     tensor_action,
@@ -238,28 +239,27 @@ def cmd_verify(args):
     elif suite == "lemmas":
         violations = [list(v) for v in verify_gt_lemmas(ym)]
     elif suite == "berezinian":
-        _, B = berezinian_factors(ym)
         violations = [["berezinian-mismatch", str(u0)]
-                      for u0, got, want in _berezinian_checks(ym, B) if got != want]
+                      for u0, got, want in _berezinian_checks(ym) if got != want]
     else:
         raise ValidationError(f"unknown suite '{suite}'")
     return {"suite": suite, "violations": violations}
 
 
-def _berezinian_checks(ym, B):
-    """(u0, B(u0), direct B(u0)) at the first three of u0 = 5, 7, 9, ... where
-    both evaluate. A point fails only at a pole of B or of some T(u0 + gamma_a),
-    so more failures than those poles can number mean a bug, and the last
-    PoleError then stands."""
+def _berezinian_checks(ym):
+    """(u0, B(u0) from the d_k, direct B(u0)) at the first three of
+    u0 = 5, 7, 9, ... where both pointwise routes evaluate. More failures than
+    `berezinian_pole_bound` allows mean a bug, and the last PoleError then
+    stands. The bound needs the symbolic series, so it is computed only after
+    a failure."""
     checks, failures, budget = [], 0, None
     u0 = Fraction(5)
     while len(checks) < 3:
         try:
-            checks.append((u0, B.eval(u0), berezinian_direct_point(ym, u0)))
+            checks.append((u0, berezinian_point(ym, u0), berezinian_direct_point(ym, u0)))
         except PoleError:
             if budget is None:
-                budget = B.master_denominator().degree + ym.shape.size * sum(
-                    t.master_denominator().degree for t in ym.t.values())
+                budget = berezinian_pole_bound(ym)
             failures += 1
             if failures > budget:
                 raise

@@ -297,6 +297,8 @@ def kernel_spectrum(mats) -> SpectrumReport:
             space = kern if space is None else intersect_spans(space, kern)
             if not space:
                 break
+        if size == 1 and space:
+            space = rref(space)[0]  # echelon rows lead with 1, as intersect_spans' do
         total += len(space) if space else 0
         for vec in space or []:
             eigen.append((tuple(vec), {k: tup[k - 1] for k in range(1, size + 1)}))
@@ -525,12 +527,10 @@ def is_simple(ym: YangianModule):
                     w = smat_apply(g, v)
                     if any(w):
                         new.append(w)
-            candidate = span + new
-            r2 = rank(candidate)
-            if r2 > base:
-                R, _ = rref(candidate)
-                span = [R[t] for t in range(r2)]
-                base = r2
+            R, piv = rref(span + new)
+            if len(piv) > base:
+                base = len(piv)
+                span = R[:base]
                 changed = True
         if base < D:
             return False, {"probe": probe, "invariant_subspace": span}

@@ -13,7 +13,6 @@ from fractions import Fraction
 from itertools import permutations
 
 from .errors import (
-    InconsistentSamplesError,
     InternalInvariantViolation,
     InvarianceViolationError,
     PoleError,
@@ -30,7 +29,6 @@ from .exact import (
     mat_mul,
     mat_sub,
     rat,
-    rf_from_samples,
     rf_matrix_inverse,
     sample_points,
     zeros,
@@ -200,39 +198,6 @@ def gt_point(ym: YangianModule, u0):
     return val
 
 
-def _reconstruct_family(evaluate, keys, start_bound: int, cap: int):
-    """Reconstruct a family of matrix series sharing sample points.
-
-    evaluate(u0) -> {key: dense matrix}; bounds escalate by doubling on
-    inconsistency, capped at `cap`.
-    """
-    bound = max(2, start_bound)
-    samples = []
-    points = sample_points()
-    skipped = 0
-    out = {}
-    while True:
-        need = 2 * bound + 4
-        while len(samples) < need:
-            u0 = next(points)
-            try:
-                samples.append((u0, evaluate(u0)))
-            except BadSamplePoint:
-                skipped += 1
-                if skipped > 40 * (len(samples) + 4):
-                    raise InternalInvariantViolation("could not find usable sample points")
-        try:
-            for key in keys:
-                if key not in out:
-                    sub = [(x, vals[key]) for x, vals in samples]
-                    out[key] = rf_from_samples(sub, bound, bound)
-            return out
-        except InconsistentSamplesError:
-            if bound >= cap:
-                raise
-            bound = min(2 * bound, cap)
-
-
 def gt_series(ym: YangianModule):
     """All d_k(u), x_k(u), y_k(u) as exact RFMatrices (cached on the module).
 
@@ -258,42 +223,16 @@ def d_series(ym: YangianModule, k: int) -> RFMatrix:
 
 def quasidet(blocks, i: int, j: int) -> RFMatrix:
     """|A|_{ij} over End(V)-valued rational functions; blocks is a k x k array
-    of equal-size RFMatrix and (i, j) are 1-based box coordinates."""
+    of equal-size RFMatrix and (i, j) are 1-based box coordinates.
+
+    Row i and column j move last, and k - 1 sweep steps leave the
+    quasideterminant in the corner.
+    """
     k = len(blocks)
-    D = blocks[0][0].nrows
-    if k == 1:
-        return blocks[0][0]
-    rows = [r for r in range(k) if r != i - 1]
-    cols = [c for c in range(k) if c != j - 1]
-
-    def evaluate(u0):
-        try:
-            dense = [[blocks[r][c].eval(u0) for c in range(k)] for r in range(k)]
-        except PoleError as exc:
-            raise BadSamplePoint(str(exc)) from exc
-        flat = zeros((k - 1) * D, (k - 1) * D)
-        for a, r in enumerate(rows):
-            for b, c in enumerate(cols):
-                for x in range(D):
-                    for y in range(D):
-                        flat[a * D + x][b * D + y] = dense[r][c][x][y]
-        try:
-            inv = mat_inv(flat)
-        except SingularMatrixError as exc:
-            raise BadSamplePoint(str(exc)) from exc
-        acc = [row[:] for row in dense[i - 1][j - 1]]
-        for a, r in enumerate(rows):
-            for b, c in enumerate(cols):
-                inv_block = [
-                    [inv[b * D + x][a * D + y] for y in range(D)] for x in range(D)
-                ]
-                term = mat_mul(mat_mul(dense[i - 1][c], inv_block), dense[r][j - 1])
-                acc = mat_sub(acc, term)
-        return {"q": acc}
-
-    cap = max(4, k * D * 2) * 2 + 8
-    start = k + D // 2 + 2
-    return _reconstruct_family(evaluate, ["q"], start, cap)["q"]
+    rows = [r for r in range(k) if r != i - 1] + [i - 1]
+    cols = [c for c in range(k) if c != j - 1] + [j - 1]
+    grid = [[blocks[r][c] for c in cols] for r in rows]
+    return _sweep(grid, k - 1)[k - 1][k - 1]
 
 
 # ---------------------------------------------------------------------------
@@ -576,41 +515,62 @@ def verify_gt_lemmas(ym: YangianModule, pairs=None):
 
 
 def berezinian_factors(ym: YangianModule):
-    """B_1(u), ..., B_{m+n}(u) from shifted d-products, plus B(u) = B_{m+n}(u)."""
-    shape = ym.shape
-    size = shape.size
-    gammas = gamma_table(shape)
+    """B_1(u), ..., B_{m+n}(u) with B_k = prod_{j<=k} d_j(u + gamma_j)^{+-1}, the
+    power +1 for j <= m and -1 beyond, plus B(u) = B_{m+n}(u). Exact products
+    of the shifted symbolic series."""
+    series = gt_series(ym)
+    out = []
+    for k, g in enumerate(gamma_table(ym.shape), 1):
+        dk = series[("d", k)].shift(g) if g else series[("d", k)]
+        if k > ym.m:
+            dk = rf_matrix_inverse(dk)
+        out.append(out[-1] * dk if out else dk)
+    return out, out[-1]
 
-    def evaluate(u0):
-        out = {}
-        acc = identity(ym.dim)
-        for k in range(1, size + 1):
-            dk = gt_point(ym, u0 + gammas[k - 1])[("d", k)]
-            if k <= shape.m:
-                acc = mat_mul(acc, dk)
-            else:
-                try:
-                    acc = mat_mul(acc, mat_inv(dk))
-                except SingularMatrixError as exc:
-                    raise BadSamplePoint(str(exc)) from exc
-            out[k] = acc
-        return out
 
-    def evaluate_wrapped(u0):
-        try:
-            return evaluate(u0)
-        except PoleHitError as exc:
-            raise BadSamplePoint(str(exc)) from exc
+def berezinian_point(ym: YangianModule, u0):
+    """B(u0) from the cached pointwise d_k(u0 + gamma_k); PoleHitError where a
+    d_k is undefined or an inverted one is singular."""
+    u0 = rat(u0)
+    acc = None
+    for k, g in enumerate(gamma_table(ym.shape), 1):
+        dk = gt_point(ym, u0 + g)[("d", k)]
+        if k > ym.m:
+            try:
+                dk = mat_inv(dk)
+            except SingularMatrixError as exc:
+                raise PoleHitError(f"d_{k} is singular at u = {u0 + g}") from exc
+        acc = dk if acc is None else mat_mul(acc, dk)
+    return acc
 
-    start = sum(f.r for f in ym.factors) + len(ym.factors) + size + 2
-    cap = max(size * ym.dim * max(1, len(ym.factors)), start) + 2
-    series = _reconstruct_family(evaluate_wrapped, list(range(1, size + 1)), start, cap)
-    ordered = [series[k] for k in range(1, size + 1)]
-    return ordered, ordered[-1]
+
+def berezinian_pole_bound(ym: YangianModule) -> int:
+    """An upper bound on the number of u0 at which `berezinian_point` or
+    `berezinian_direct_point` fails.
+
+    Both routes evaluate T only at v = u0 + gamma_k, and each fails at v only
+    if v is a pole of T or a zero of some det d_k: where T(v) is finite and
+    the earlier pivots are invertible, the pointwise pivots are the symbolic
+    d_k(v), and det T = prod_k det d_k. With q the master denominator of d_k,
+    det d_k = det(q d_k) / q^D, and the polynomial det(q d_k) has degree at
+    most the sum of its row degrees. Each bad v spoils one u0 per distinct
+    gamma_k.
+    """
+    bad = sum(t.master_denominator().degree for t in ym.t.values())
+    series = gt_series(ym)
+    for k in range(1, ym.shape.size + 1):
+        dk = series[("d", k)]
+        q = dk.master_denominator().degree
+        rows = {}
+        for (a, _), v in dk.entries.items():
+            rows[a] = max(rows.get(a, 0), v.num.degree + q - v.den.degree)
+        bad += sum(rows.values())
+    return len(set(gamma_table(ym.shape))) * bad
 
 
 def berezinian_direct_point(ym: YangianModule, u0):
-    """B(u0) straight from its defining double permutation sum."""
+    """B(u0) straight from its defining double permutation sum; PoleError
+    where some T(u0 + gamma_a) is undefined or singular."""
     shape = ym.shape
     m, n = shape.m, shape.n
     size = shape.size
@@ -632,7 +592,10 @@ def berezinian_direct_point(ym: YangianModule, u0):
                     for x in range(D):
                         for y in range(D):
                             flat[a * D + x][b * D + y] = blocks[a][b][x][y]
-            inv = mat_inv(flat)
+            try:
+                inv = mat_inv(flat)
+            except SingularMatrixError as exc:
+                raise PoleHitError(f"T(u) is singular at u = {v}") from exc
             for a in range(1, size + 1):
                 for b in range(1, size + 1):
                     tprime_cache[(a, b, v)] = [

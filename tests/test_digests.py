@@ -1,7 +1,7 @@
 """Byte identity against the benchmark's stored documents.
 
-Replays a fixed subset of the benchmark jobs at h0 = 1/2 through `cli.main`
-and compares the SHA-256 of each document with `perfbench/digests.json`,
+Replays a fixed subset of the benchmark jobs at h0 = 1/2, and the Berezinian
+jobs at every other shift of the grid, through `cli.main`, and compares the SHA-256 of each document with `perfbench/digests.json`,
 matched by the job's index in `workloads.GENERATORS[name](h0)`. The
 perfbench files are only read here; the digests are never re-recorded.
 """
@@ -13,6 +13,8 @@ import io
 import json
 from fractions import Fraction
 from pathlib import Path
+
+import pytest
 
 from gtyangian.cli import main
 
@@ -33,9 +35,9 @@ with open(PERFBENCH / "digests.json") as fh:
     DIGESTS = json.load(fh)
 
 
-def _mismatches(name, indices):
-    jobs = WORKLOADS.GENERATORS[name](H0)
-    stored = DIGESTS[name][str(H0)]
+def _mismatches(name, indices, h0=H0):
+    jobs = WORKLOADS.GENERATORS[name](h0)
+    stored = DIGESTS[name][str(h0)]
     assert len(stored) == len(jobs)
     bad = []
     for i in indices:
@@ -73,3 +75,11 @@ def test_large_spectrum_spectrum_job():
 def test_skew_series_all_jobs():
     count = len(WORKLOADS.GENERATORS["skew-series"](H0))
     assert _mismatches("skew-series", range(count)) == []
+
+
+@pytest.mark.parametrize("h0", [Fraction(3, 2), Fraction(5, 2), Fraction(7, 2)], ids=str)
+def test_skew_series_berezinian_jobs_other_shifts(h0):
+    jobs = WORKLOADS.GENERATORS["skew-series"](h0)
+    indices = [i for i, job in enumerate(jobs) if "berezinian" in job]
+    assert len(indices) == 2
+    assert _mismatches("skew-series", indices, h0) == []

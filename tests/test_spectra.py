@@ -252,6 +252,16 @@ def test_failed_check_falls_back_to_kernel_route():
     assert not rep.tame
 
 
+def test_one_member_kernel_route_leads_with_one():
+    # d_1 = [[u, 0], [2, u + 1]]: the u-eigenvector is (1, -2), which a plain
+    # nullspace would return as (-1/2, 1)
+    mats = {1: RFMatrix.from_rows([[U, 0], [2, U + 1]])}
+    rep = kernel_spectrum(mats)
+    assert rep.tame
+    assert [vec for vec, _ in rep.eigen] == [(1, -2), (0, 1)]
+    assert rep == family_spectrum(mats)
+
+
 # ---------------------------------------------------------------------------
 # xi construction
 

@@ -22,6 +22,8 @@ from gtyangian.yangian import (
     _gt_point_raw,
     berezinian_direct_point,
     berezinian_factors,
+    berezinian_point,
+    berezinian_pole_bound,
     d_series,
     evaluation_action,
     flip_twist,
@@ -338,6 +340,49 @@ def test_gt_series_matches_pointwise_elimination(ym):
         # where pointwise elimination succeeds, every series entry is finite
         for key, mat in series.items():
             assert mat.eval(u0) == point[key], (key, u0)
+        checked += 1
+    assert checked
+
+
+@settings(max_examples=15, deadline=None)
+@given(small_tensors())
+def test_berezinian_three_routes_agree(ym):
+    # the symbolic product of shifted d_k, the pointwise product and the
+    # permutation sum agree wherever the pointwise routes evaluate (the exact
+    # B is finite there), and those fail at no more points than
+    # berezinian_pole_bound allows
+    _, B = berezinian_factors(ym)
+    checked = failed = 0
+    for u0 in POINTS:
+        try:
+            point = berezinian_point(ym, u0)
+            direct = berezinian_direct_point(ym, u0)
+        except PoleError:
+            failed += 1
+            continue
+        assert point == direct == B.eval(u0), u0
+        checked += 1
+    assert checked
+    assert failed <= berezinian_pole_bound(ym)
+
+
+def test_quasidet_off_diagonal_corners_match_pointwise():
+    # gl(2|1): x_2 = |t_11 t_13; t_21 t_23|_{23} and d_3 = |T|_{33}, here put
+    # at corners (1, 2) and (1, 1) of reordered grids
+    shape = SuperShape(2, 1)
+    ym = tensor_action([evaluation_action(build_module(shape, (1, 0, 0)), 0),
+                        evaluation_action(build_module(shape, (1, 1, 0)), Fraction(1, 2))])
+    t = lambda i, j: ym.t[(i, j)]
+    x2 = quasidet([[t(2, 1), t(2, 3)], [t(1, 1), t(1, 3)]], 1, 2)
+    d3 = quasidet([[t(a, b) for b in (3, 1, 2)] for a in (3, 1, 2)], 1, 1)
+    checked = 0
+    for u0 in POINTS:
+        try:
+            point = _gt_point_raw(ym, u0)
+        except BadSamplePoint:
+            continue
+        assert x2.eval(u0) == point[("x", 2)], u0
+        assert d3.eval(u0) == point[("d", 3)], u0
         checked += 1
     assert checked
 
